@@ -257,6 +257,9 @@ MultiCoreSystem::processBarrier(Tick T)
             _dir.setResidence(r.page, r.core);
             ++_dir.statMigrations;
             _gates[owner]->clearStop(r.page);
+            // Wake the owner's stalled stores only now: one woken
+            // mid-extraction could start a drain on this very page.
+            src.kickSpaceWaiters();
             _gates[r.core]->retireRequest(r.page);
             kickCore(r.core, T + _cfg.migrationLatency);
         } else {

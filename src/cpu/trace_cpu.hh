@@ -61,7 +61,7 @@ class TraceCpu
     TraceCpu(EventQueue &eq, StoreBuffer &sb, const CpuConfig &cfg,
              StatGroup &parent, DataHierarchy *dcache = nullptr)
         : _eq(eq), _sb(sb), _cfg(cfg), _dcache(dcache),
-          _stats("cpu", &parent),
+          _cyclesPerOp(1.0 / cfg.retireWidth), _stats("cpu", &parent),
           statInstructions(_stats, "instructions", "instructions retired"),
           statLoads(_stats, "loads", "loads retired"),
           statStores(_stats, "stores", "stores retired"),
@@ -111,10 +111,19 @@ class TraceCpu
             _pendingStore.reset();
         }
 
-        unsigned executed = 0;
+        // Retire tallies stay local and reach the stats once, at every
+        // exit below (`executed` counts instructions retired).
+        std::uint64_t executed = 0, loads = 0, stores = 0, barriers = 0;
+        auto retire = [&] {
+            statInstructions += executed;
+            statLoads += loads;
+            statStores += stores;
+            statBarriers += barriers;
+        };
         TraceOp op;
         while (executed < _cfg.quantum) {
             if (!_gen->next(op)) {
+                retire();
                 finish(frac);
                 return;
             }
@@ -122,25 +131,22 @@ class TraceCpu
               case TraceOp::Kind::Instr:
                 frac += static_cast<double>(op.count) / _cfg.retireWidth;
                 executed += op.count;
-                statInstructions += op.count;
                 break;
               case TraceOp::Kind::Load: {
                 MemLevel level = op.level;
                 if (_cfg.addressDrivenLoads && _dcache)
                     level = _dcache->load(op.addr).level;
-                frac += 1.0 / _cfg.retireWidth + loadPenalty(level);
+                frac += _cyclesPerOp + loadPenalty(level);
                 ++executed;
-                ++statInstructions;
-                ++statLoads;
+                ++loads;
                 break;
               }
               case TraceOp::Kind::Store:
                 if (_cfg.addressDrivenLoads && _dcache)
                     _dcache->storeAllocate(op.addr);
-                frac += 1.0 / _cfg.retireWidth;
+                frac += _cyclesPerOp;
                 ++executed;
-                ++statInstructions;
-                ++statStores;
+                ++stores;
                 if (!_sb.tryPush(op.addr, op.value, op.asid)) {
                     // Core stalls: charge the cycles accumulated so far,
                     // then retry the push.
@@ -149,15 +155,15 @@ class TraceCpu
                                     op.asid);
                     _pendingStore = PendingStore{op.addr, op.value,
                                                  op.asid};
+                    retire();
                     _eq.scheduleIn(ceilCycles(frac), [this] { wake(); });
                     return;
                 }
                 break;
               case TraceOp::Kind::Barrier:
-                frac += 1.0 / _cfg.retireWidth;
+                frac += _cyclesPerOp;
                 ++executed;
-                ++statInstructions;
-                ++statBarriers;
+                ++barriers;
                 if (!_sb.empty()) {
                     // Persist barrier: charge the cycles accumulated so
                     // far, then hold retirement until every prior store
@@ -165,6 +171,7 @@ class TraceCpu
                     ++statBarrierStalls;
                     TRACE_INSTANT_P("cpu", "barrier_stall", _eq.curTick(),
                                     op.asid);
+                    retire();
                     _eq.scheduleIn(ceilCycles(frac), [this] {
                         _sb.notifyWhenEmpty([this] { wake(); });
                     });
@@ -173,6 +180,7 @@ class TraceCpu
                 break;
             }
         }
+        retire();
         _eq.scheduleIn(std::max<Cycles>(1, ceilCycles(frac)),
                        [this] { wake(); });
     }
@@ -217,6 +225,8 @@ class TraceCpu
     StoreBuffer &_sb;
     CpuConfig _cfg;
     DataHierarchy *_dcache;
+    /** Retire cycles of one memory op or barrier (1 / retireWidth). */
+    double _cyclesPerOp;
     WorkloadGenerator *_gen = nullptr;
     EventCallback _done;
     std::optional<PendingStore> _pendingStore;

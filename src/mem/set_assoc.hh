@@ -43,8 +43,7 @@ class SetAssocCache
 {
   public:
     explicit SetAssocCache(const CacheGeometry &geom)
-        : _geom(geom), _numSets(geom.numSets()),
-          _ways(_numSets * geom.associativity)
+        : _geom(geom), _numSets(geom.numSets())
     {
         fatal_if(_numSets == 0, "cache too small for its associativity");
         fatal_if((_numSets & (_numSets - 1)) != 0,
@@ -90,6 +89,8 @@ class SetAssocCache
             way->lastUse = ++_useClock;
             return std::nullopt;
         }
+        if (_ways.empty())
+            _ways.resize(_numSets * _geom.associativity);
         const std::uint64_t set = setIndex(aligned);
         Way *victim = nullptr;
         for (unsigned w = 0; w < _geom.associativity; ++w) {
@@ -205,6 +206,8 @@ class SetAssocCache
     Way *
     findWay(Addr aligned)
     {
+        if (_ways.empty())
+            return nullptr;
         const std::uint64_t set = setIndex(aligned);
         for (unsigned w = 0; w < _geom.associativity; ++w) {
             Way &way = _ways[set * _geom.associativity + w];
@@ -216,6 +219,8 @@ class SetAssocCache
 
     CacheGeometry _geom;
     std::uint64_t _numSets;
+    /** Allocated on the first insert: until then every probe misses, so
+     *  a machine that never fills a cache never pays for its tags. */
     std::vector<Way> _ways;
     std::uint64_t _useClock = 0;
 };

@@ -1397,7 +1397,6 @@ SecPb::extractForMigration(Addr addr)
     _index.erase(e.addr);
     e.clear();
     _freeList.push_back(idx);
-    wakeSpaceWaiters();
     return copy;
 }
 

@@ -245,7 +245,8 @@ class SecPb
     /**
      * Remove the entry for @p addr so it can migrate to another core.
      * Fails (nullopt) while the entry is draining or has early ops in
-     * flight -- the requester retries at a later barrier.
+     * flight -- the requester retries at a later barrier. Space waiters
+     * are not woken: the caller kicks them once the whole page moved.
      */
     std::optional<PbEntry> extractForMigration(Addr addr);
 

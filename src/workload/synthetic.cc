@@ -25,46 +25,41 @@ SyntheticGenerator::SyntheticGenerator(const BenchmarkProfile &profile,
              profile.name.c_str());
     fatal_if(mem_pki > 1000.0, "profile '%s' has > 1000 mem ops per ki",
              profile.name.c_str());
-    _meanGap = 1000.0 / mem_pki - 1.0;
+    const double mean_gap = 1000.0 / mem_pki - 1.0;
+    _logNoMemOp = std::log1p(-(1.0 / (mean_gap + 1.0)));
     _pLoad = profile.loadsPerKiloInstr / mem_pki;
+    _loadCut[0] = profile.pLoadMem;
+    _loadCut[1] = _loadCut[0] + profile.pLoadL3;
+    _loadCut[2] = _loadCut[1] + profile.pLoadL2;
+    _wsBytes = profile.workingSetPages * PageSize;
+    _readBase = region_base + _wsBytes;
     _seqCursor = region_base;
-}
-
-void
-SyntheticGenerator::rememberBlock(Addr block)
-{
-    _recent.push_front(block);
-    if (_recent.size() > RecentCap)
-        _recent.pop_back();
 }
 
 void
 SyntheticGenerator::rememberAllocation(Addr block)
 {
-    if (!_history.empty() && _history.front() == block)
+    if (!_history.empty() && _history.at(0) == block)
         return;
-    _history.push_front(block);
-    if (_history.size() > RecentCap)
-        _history.pop_back();
+    _history.push(block);
 }
 
 Addr
 SyntheticGenerator::pickStoreAddr()
 {
     const double r = _rng.uniform();
-    const std::uint64_t ws_bytes = _profile.workingSetPages * PageSize;
 
     double acc = _profile.pRewriteHot;
     if (r < acc && !_recent.empty()) {
         const std::size_t w =
             std::min<std::size_t>(_profile.hotWindow, _recent.size());
-        return _recent[_rng.below(w)] + 8 * _rng.below(WordsPerBlock);
+        return _recent.at(_rng.below(w)) + 8 * _rng.below(WordsPerBlock);
     }
     acc += _profile.pRewriteWarm;
     if (r < acc && !_recent.empty()) {
         const std::size_t w =
             std::min<std::size_t>(_profile.warmWindow, _recent.size());
-        return _recent[_rng.below(w)] + 8 * _rng.below(WordsPerBlock);
+        return _recent.at(_rng.below(w)) + 8 * _rng.below(WordsPerBlock);
     }
     // Long-tail reuse skips the most recent allocations (those are still
     // buffer-resident and would coalesce); it targets blocks that have
@@ -74,7 +69,7 @@ SyntheticGenerator::pickStoreAddr()
     if (r < acc && _history.size() > long_skip) {
         const std::size_t w = std::min<std::size_t>(
             _profile.longWindow, _history.size() - long_skip);
-        return _history[long_skip + _rng.below(w)] +
+        return _history.at(long_skip + _rng.below(w)) +
                8 * _rng.below(WordsPerBlock);
     }
     acc += _profile.pSequential;
@@ -84,7 +79,7 @@ SyntheticGenerator::pickStoreAddr()
         // and from page to page (so BMT leaf updates cluster).
         const Addr addr = _seqCursor;
         _seqCursor += 8;
-        if (_seqCursor >= _regionBase + ws_bytes)
+        if (_seqCursor >= _regionBase + _wsBytes)
             _seqCursor = _regionBase;
         rememberAllocation(blockAlign(addr));
         return addr;
@@ -97,7 +92,7 @@ SyntheticGenerator::pickStoreAddr()
         block = _clusterPage + BlockSize * _rng.below(BlocksPerPage);
     } else {
         _clusterPage = _regionBase +
-            (_rng.below(ws_bytes) / PageSize) * PageSize;
+            (_rng.below(_wsBytes) / PageSize) * PageSize;
         block = _clusterPage + BlockSize * _rng.below(BlocksPerPage);
     }
     _seqCursor = block + 8;
@@ -111,18 +106,16 @@ SyntheticGenerator::pickLoadAddr(MemLevel level)
     // Region-based locality: regions sized so that, against the Table I
     // hierarchy, a load drawn for level X predominantly hits level X
     // after warm-up. Read regions sit above the store working set.
-    const std::uint64_t ws_bytes = _profile.workingSetPages * PageSize;
-    const Addr read_base = _regionBase + ws_bytes;
     switch (level) {
       case MemLevel::L1:
-        return read_base + blockAlign(_rng.below(32 * 1024));
+        return _readBase + blockAlign(_rng.below(32 * 1024));
       case MemLevel::L2:
-        return read_base + blockAlign(_rng.below(384 * 1024));
+        return _readBase + blockAlign(_rng.below(384 * 1024));
       case MemLevel::L3:
-        return read_base + blockAlign(_rng.below(3 * 1024 * 1024));
+        return _readBase + blockAlign(_rng.below(3 * 1024 * 1024));
       case MemLevel::Mem:
       default:
-        return read_base + blockAlign(_rng.below(256ULL << 20));
+        return _readBase + blockAlign(_rng.below(256ULL << 20));
     }
 }
 
@@ -137,10 +130,9 @@ SyntheticGenerator::next(TraceOp &op)
     // bundle sizes are geometric -- drawn by inversion to keep the mem-op
     // density exact.
     if (!_inMemOp) {
-        const double p = 1.0 / (_meanGap + 1.0);
         const double u = std::max(_rng.uniform(), 1e-300);
-        std::uint64_t count = static_cast<std::uint64_t>(
-            std::log(u) / std::log1p(-p));
+        std::uint64_t count =
+            static_cast<std::uint64_t>(std::log(u) / _logNoMemOp);
         count = std::min<std::uint64_t>(count, _budget - _emitted);
         _inMemOp = true;
         if (count > 0) {
@@ -158,12 +150,11 @@ SyntheticGenerator::next(TraceOp &op)
         ++_loads;
         op.kind = TraceOp::Kind::Load;
         const double r = _rng.uniform();
-        if (r < _profile.pLoadMem)
+        if (r < _loadCut[0])
             op.level = MemLevel::Mem;
-        else if (r < _profile.pLoadMem + _profile.pLoadL3)
+        else if (r < _loadCut[1])
             op.level = MemLevel::L3;
-        else if (r < _profile.pLoadMem + _profile.pLoadL3 +
-                         _profile.pLoadL2)
+        else if (r < _loadCut[2])
             op.level = MemLevel::L2;
         else
             op.level = MemLevel::L1;
@@ -173,7 +164,7 @@ SyntheticGenerator::next(TraceOp &op)
 
     ++_stores;
     const Addr addr = pickStoreAddr();
-    rememberBlock(blockAlign(addr));
+    _recent.push(blockAlign(addr));
     op.kind = TraceOp::Kind::Store;
     op.addr = addr;
     op.value = _rng.next();

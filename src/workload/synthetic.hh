@@ -11,7 +11,7 @@
 #ifndef SECPB_WORKLOAD_SYNTHETIC_HH
 #define SECPB_WORKLOAD_SYNTHETIC_HH
 
-#include <deque>
+#include <array>
 
 #include "cpu/trace_op.hh"
 #include "sim/rng.hh"
@@ -43,8 +43,32 @@ class SyntheticGenerator : public WorkloadGenerator
     std::uint64_t loadsEmitted() const { return _loads; }
 
   private:
+    /** Block addresses, newest first (`at(0)`); a full ring drops the
+     *  oldest on push. */
+    class RecentRing
+    {
+      public:
+        static constexpr std::size_t Cap = 512;
+
+        void
+        push(Addr block)
+        {
+            _head = (_head + 1) % Cap;
+            _slots[_head] = block;
+            _size += _size < Cap;
+        }
+
+        Addr at(std::size_t i) const { return _slots[(_head - i) % Cap]; }
+        std::size_t size() const { return _size; }
+        bool empty() const { return _size == 0; }
+
+      private:
+        std::array<Addr, Cap> _slots{};
+        std::size_t _head = 0;
+        std::size_t _size = 0;
+    };
+
     Addr pickStoreAddr();
-    void rememberBlock(Addr block);
 
     const BenchmarkProfile &_profile;
     std::uint64_t _budget;
@@ -54,19 +78,24 @@ class SyntheticGenerator : public WorkloadGenerator
     Rng _rng;
     Addr _regionBase;
 
-    /** Mean plain-instruction gap between memory operations. */
-    double _meanGap;
+    /** ln(1 - p) for p = P(an instruction slot is a memory op): the
+     *  divisor of the geometric bundle-size draw. */
+    double _logNoMemOp;
     /** P(load | memory op). */
     double _pLoad;
+    /** Cumulative load-level mixture: Mem, +L3, +L2 (the rest hit L1). */
+    double _loadCut[3];
+    /** Store working-set size; read regions start right above it. */
+    std::uint64_t _wsBytes;
+    Addr _readBase;
 
-    /** Recently written blocks, most recent at the front (may contain
-     * duplicates; feeds the hot/warm windows). */
-    std::deque<Addr> _recent;
-    static constexpr std::size_t RecentCap = 512;
+    /** Recently written blocks (may contain duplicates; feeds the
+     * hot/warm windows). */
+    RecentRing _recent;
 
     /** Distinct block allocation history (fresh/stream blocks only),
      * feeding the long-tail reuse window. */
-    std::deque<Addr> _history;
+    RecentRing _history;
 
     /** Record a newly allocated (fresh or stream) block in the history. */
     void rememberAllocation(Addr block);

@@ -129,3 +129,51 @@ TEST(SetAssoc, FullyAssociativeWorks)
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, 0x000u);  // LRU
 }
+
+TEST(SetAssoc, UntouchedCacheAnswersEveryProbeAsMiss)
+{
+    // Tags are allocated on the first insert; until then the cache is
+    // empty and every query must say so without allocating.
+    SetAssocCache c(CacheGeometry{4 * 1024 * 1024, 32, 64});
+    EXPECT_FALSE(c.access(0x1000));
+    EXPECT_FALSE(c.contains(0x1000));
+    EXPECT_FALSE(c.isDirty(0x1000));
+    EXPECT_FALSE(c.markDirty(0x1000));
+    EXPECT_FALSE(c.markClean(0x1000));
+    EXPECT_FALSE(c.invalidate(0x1000));
+    EXPECT_EQ(c.numValid(), 0u);
+    EXPECT_TRUE(c.residentBlocks().empty());
+    EXPECT_TRUE(c.residentBlocks(true).empty());
+    c.flushAll();
+    EXPECT_EQ(c.numValid(), 0u);
+    EXPECT_FALSE(c.contains(0x1000));
+}
+
+TEST(SetAssoc, FirstInsertMatchesAnAllocatedEmptyCache)
+{
+    // A cache that was filled and flushed holds an allocated all-invalid
+    // array; a fresh one holds none. Both must pick the same victims.
+    SetAssocCache fresh(tinyGeom());
+    SetAssocCache flushed(tinyGeom());
+    for (Addr a = 0; a < 1024; a += 64)
+        flushed.insert(a);
+    flushed.flushAll();
+
+    for (SetAssocCache *c : {&fresh, &flushed}) {
+        EXPECT_FALSE(c->insert(0x000).has_value());
+        EXPECT_TRUE(c->contains(0x000));
+        EXPECT_EQ(c->numValid(), 1u);
+    }
+    for (Addr a : {0x100, 0x200, 0x040, 0x300, 0x500}) {
+        const auto vf = fresh.insert(a);
+        const auto vl = flushed.insert(a);
+        ASSERT_EQ(vf.has_value(), vl.has_value()) << a;
+        if (vf) {
+            EXPECT_EQ(vf->addr, vl->addr) << a;
+        }
+        fresh.markDirty(a);
+        flushed.markDirty(a);
+    }
+    EXPECT_EQ(fresh.residentBlocks(), flushed.residentBlocks());
+    EXPECT_EQ(fresh.residentBlocks(true), flushed.residentBlocks(true));
+}

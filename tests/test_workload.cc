@@ -163,6 +163,33 @@ TEST(Synthetic, StreamingProfileWalksSequentially)
     EXPECT_GT(static_cast<double>(seq_steps) / stores, 0.7);
 }
 
+TEST(Synthetic, GoldenStreamAllProfiles)
+{
+    // FNV-1a over every op every profile emits (250k instructions, seed
+    // 1), so a generator rewrite is proven identical op by op. Each op
+    // starts default-constructed: only what next() writes is pinned.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    std::uint64_t ops = 0;
+    for (const auto &p : spec2006Profiles()) {
+        SyntheticGenerator gen(p, 250'000, 1);
+        for (TraceOp op; gen.next(op); op = TraceOp{}, ++ops) {
+            mix(static_cast<std::uint64_t>(op.kind));
+            mix(op.count);
+            mix(op.addr);
+            mix(op.value);
+            mix(static_cast<std::uint64_t>(op.level));
+        }
+    }
+    EXPECT_EQ(ops, 2255650u);
+    EXPECT_EQ(h, 0x4bad2448e4aa33d4ULL);
+}
+
 TEST(Scripted, BuilderEmitsInOrder)
 {
     ScriptedGenerator gen;
