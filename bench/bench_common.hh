@@ -10,35 +10,34 @@
  * produce bit-identical results, and `--json` serializes every point plus
  * derived rows to the schema-versioned sweep document.
  *
- * Common CLI (BenchCli::parse; env fallbacks in parentheses):
- *   --jobs N            concurrent points        (SECPB_BENCH_JOBS, 1)
- *   --json PATH         write sweep JSON         (SECPB_BENCH_JSON)
+ * Common CLI (BenchCli::parse; defaults in parentheses):
+ *   --jobs N            concurrent points        (1)
+ *   --json PATH         write sweep JSON
  *   --scheme A[,B...]   keep matching schemes    (repeatable; canonical
- *                       lowercase names, legacy spellings accepted
- *                       case-insensitively, triad takes "triad:levels=N")
+ *                       lowercase names only, triad takes
+ *                       "triad:levels=N")
  *   --profile A[,B...]  keep matching profiles   (repeatable)
- *   --instr N           instructions per point   (SECPB_BENCH_INSTR, 300k;
- *                       the paper simulates 250M on gem5 -- the synthetic
+ *   --instr N           instructions per point   (300k; the paper
+ *                       simulates 250M on gem5 -- the synthetic
  *                       workloads reach steady state within tens of
  *                       thousands)
- *   --seed N            base workload seed       (SECPB_BENCH_SEED, 7)
+ *   --seed N            base workload seed       (7)
  *   --no-progress       suppress the stderr progress/ETA line
  *   --trace-out PATH    write a Perfetto trace of the first point
  *   --sample-every N    epoch-sample every point every N ticks
  *   --stats             embed the full stats dump in each JSON point
  *   --debug FLAG[,..]   enable DPRINTF debug flags (see --help)
- *   --battery-tech T    capacitor physics preset   (SECPB_BENCH_BATTERY_TECH,
- *                       ideal; ideal|supercap|li-thin)
- *   --battery-derate F  end-of-life capacity derate in (0,1]
- *                       (SECPB_BENCH_BATTERY_DERATE, 1.0)
+ *   --battery-tech T    capacitor physics preset   (ideal;
+ *                       ideal|supercap|li-thin)
+ *   --battery-derate F  end-of-life capacity derate in (0,1] (1.0)
  *   --power-schedule S  intermittent-power schedule "k=v,k=v" (see
- *                       PowerScheduleSpec::parse; SECPB_BENCH_POWER_SCHEDULE)
+ *                       PowerScheduleSpec::parse)
  *   --workload SPEC     registry workload "name:k=v,..." for every
- *                       default-runner point     (SECPB_BENCH_WORKLOAD)
+ *                       default-runner point
  *   --trace-in PATH     replay a recorded trace (sugar for
- *                       --workload replay:file=PATH; SECPB_BENCH_TRACE_IN)
+ *                       --workload replay:file=PATH)
  *   --trace-record PATH record the first point's op stream to a trace
- *                       file                (SECPB_BENCH_TRACE_RECORD)
+ *                       file
  *   --cores N           simulated cores for spec-driven runs (default 1)
  *   --shards N          host worker threads for multi-core runs; results
  *                       are bit-identical for every value
@@ -46,16 +45,15 @@
  * The simulation-level flags (everything except --jobs/--json/--scheme/
  * --profile/--no-progress/--trace-out/--sample-every/--stats/--debug)
  * are parsed by SimulationSpec::fromCli -- the single parse point shared
- * with every non-bench driver; the SECPB_BENCH_* env fallbacks still
- * work there but are deprecated (one-time stderr note).
+ * with every non-bench driver.
  *
  * bench/micro_ops.cc is the one exception: google-benchmark owns its
  * argv, so these flags do not apply there (its tracing macros stay
  * compiled in but disabled -- that is what it measures).
  */
 
-#ifndef SECPB_BENCH_BENCH_COMMON_HH
-#define SECPB_BENCH_BENCH_COMMON_HH
+#ifndef SECPB_BENCHES_BENCH_COMMON_HH
+#define SECPB_BENCHES_BENCH_COMMON_HH
 
 #include <algorithm>
 #include <cerrno>
@@ -129,18 +127,6 @@ envDouble(const char *name, double fallback)
     return parsed;
 }
 
-inline std::uint64_t
-benchInstructions()
-{
-    return envU64("SECPB_BENCH_INSTR", 300'000);
-}
-
-inline std::uint64_t
-benchSeed()
-{
-    return envU64("SECPB_BENCH_SEED", 7);
-}
-
 /** Parsed shared command line of one bench binary. */
 struct BenchCli
 {
@@ -161,7 +147,7 @@ struct BenchCli
      * The simulation-level knobs, parsed by SimulationSpec::fromCli
      * (the single parse point for --instr/--seed/--workload/--trace-in/
      * --trace-record/--battery-tech/--battery-derate/--power-schedule/
-     * --cores/--shards and their deprecated SECPB_BENCH_* fallbacks).
+     * --cores/--shards).
      */
     SimulationSpec spec;
 
@@ -185,9 +171,9 @@ struct BenchCli
     {
         BenchCli cli;
         cli.bench = bench_name;
-        // The spec flags (and their env fallbacks) are owned by the
-        // facade's parser; it consumes them from argv, leaving only the
-        // sweep-level flags below for this loop.
+        // The spec flags are owned by the facade's parser; it consumes
+        // them from argv, leaving only the sweep-level flags below for
+        // this loop.
         cli.spec = SimulationSpec::fromCli(argc, argv, bench_name);
         cli.instructions = cli.spec.instructions;
         cli.seed = cli.spec.seed;
@@ -196,11 +182,6 @@ struct BenchCli
         cli.powerSchedule = cli.spec.powerSchedule;
         cli.workload = cli.spec.workload;
         cli.traceRecord = cli.spec.traceRecord;
-
-        cli.jobs = static_cast<unsigned>(
-            std::max<std::uint64_t>(1, envU64("SECPB_BENCH_JOBS", 1)));
-        if (const char *p = std::getenv("SECPB_BENCH_JSON"))
-            cli.jsonPath = p;
 
         auto need = [&](int i) -> const char * {
             fatal_if(i + 1 >= argc, "%s: flag %s needs a value",
@@ -217,9 +198,9 @@ struct BenchCli
                 cli.jsonPath = need(i);
                 ++i;
             } else if (a == "--scheme") {
-                // Canonical names are lowercase; legacy spellings parse
-                // case-insensitively, and an unknown name dies listing
-                // every valid one. "triad:levels=N" sets the depth knob.
+                // Canonical lowercase names only; an unknown name dies
+                // listing every valid one. "triad:levels=N" sets the
+                // depth knob.
                 for (const std::string &name : splitCommas(need(i)))
                     cli.schemes.push_back(
                         parseSchemeSpec(name, &cli.schemeParams));
@@ -490,7 +471,7 @@ class Sweep
 inline SimulationResult
 runOne(Scheme scheme, const BenchmarkProfile &profile,
        std::uint64_t instructions, unsigned secpb_entries = 32,
-       BmfMode bmf = BmfMode::None, std::uint64_t seed = benchSeed())
+       BmfMode bmf = BmfMode::None, std::uint64_t seed = 7)
 {
     SimulationSpec spec;
     spec.base = SecPbSystem::configFor(scheme, profile);
@@ -529,4 +510,4 @@ mean(const std::vector<double> &v)
 
 } // namespace secpb::bench
 
-#endif // SECPB_BENCH_BENCH_COMMON_HH
+#endif // SECPB_BENCHES_BENCH_COMMON_HH

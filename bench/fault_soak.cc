@@ -22,14 +22,14 @@
  * the classic soak crashes a registry workload (e.g. kv_wal mid-commit)
  * instead of the synthetic profiles.
  *
- * With --power-schedule (or SECPB_BENCH_POWER_SCHEDULE) the soak runs in
- * intermittent-power mode instead: each trial is a multi-cycle
- * crash-recover-crash sequence on a physical Capacitor (brownouts,
- * partial recharges, aging, power loss mid-recovery), scheme picked by
- * trial index mod 10 and the adaptive drain policy alternating on/off by
- * trial parity. Adaptive trials additionally assert the never-overspend
- * invariant (drain energy <= deliverable at crash). --battery-tech and
- * --battery-derate select the cell.
+ * With --power-schedule the soak runs in intermittent-power mode
+ * instead: each trial is a multi-cycle crash-recover-crash sequence on
+ * a physical Capacitor (brownouts, partial recharges, aging, power loss
+ * mid-recovery), scheme picked by trial index mod 10 and the adaptive
+ * drain policy alternating on/off by trial parity. Adaptive trials
+ * additionally assert the never-overspend invariant (drain energy <=
+ * deliverable at crash). --battery-tech and --battery-derate select the
+ * cell.
  */
 
 #include <cstdio>

@@ -325,7 +325,7 @@ main(int argc, char **argv)
     std::string label = "local";
     unsigned reps = 3;
     std::uint64_t instr = 20'000;
-    std::uint64_t seed = benchSeed();
+    std::uint64_t seed = 7;
     bool fig6_full = false;
     std::uint64_t fig6_full_instr = 250'000'000;
     std::uint64_t shard_instr = 250'000;  ///< Per core, 4 cores.

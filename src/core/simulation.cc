@@ -1,10 +1,7 @@
 #include "core/simulation.hh"
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,75 +14,6 @@ namespace secpb
 
 namespace
 {
-
-/** One-time stderr note when a deprecated SECPB_BENCH_* fallback fires. */
-void
-noteDeprecatedEnv(const char *name)
-{
-    static bool noted = false;
-    if (!noted) {
-        std::fprintf(stderr,
-                     "note: %s is deprecated; pass the matching command-line "
-                     "flag instead (env fallbacks will be removed)\n",
-                     name);
-        noted = true;
-    }
-}
-
-/**
- * Strict env-var parse: the whole value must be one non-negative decimal
- * integer that fits in 64 bits; anything else (trailing garbage, sign,
- * overflow) is a fatal misconfiguration, never a silent truncation.
- */
-std::uint64_t
-specEnvU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    noteDeprecatedEnv(name);
-    fatal_if(v[0] == '-' || v[0] == '+',
-             "%s='%s': must be a plain non-negative decimal integer",
-             name, v);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal integer (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE, "%s='%s': out of range for a 64-bit value",
-             name, v);
-    return parsed;
-}
-
-/** Strict env-var parse for a floating-point knob (same contract). */
-double
-specEnvDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    noteDeprecatedEnv(name);
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    fatal_if(end == v || *end != '\0',
-             "%s='%s': not a decimal number (trailing garbage at '%s')",
-             name, v, end);
-    fatal_if(errno == ERANGE || !std::isfinite(parsed),
-             "%s='%s': out of range for a finite double", name, v);
-    return parsed;
-}
-
-std::string
-specEnvStr(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return {};
-    noteDeprecatedEnv(name);
-    return v;
-}
 
 std::string
 joinNames(const std::vector<std::string> &v)
@@ -113,18 +41,7 @@ SimulationSpec
 SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
 {
     SimulationSpec spec;
-
-    // Deprecated environment fallbacks (flags below override them).
-    spec.instructions = specEnvU64("SECPB_BENCH_INSTR", spec.instructions);
-    spec.seed = specEnvU64("SECPB_BENCH_SEED", spec.seed);
-    spec.workload = specEnvStr("SECPB_BENCH_WORKLOAD");
-    std::string traceIn = specEnvStr("SECPB_BENCH_TRACE_IN");
-    spec.traceRecord = specEnvStr("SECPB_BENCH_TRACE_RECORD");
-    if (std::string t = specEnvStr("SECPB_BENCH_BATTERY_TECH"); !t.empty())
-        spec.batteryTech = std::move(t);
-    spec.batteryDerate =
-        specEnvDouble("SECPB_BENCH_BATTERY_DERATE", spec.batteryDerate);
-    spec.powerSchedule = specEnvStr("SECPB_BENCH_POWER_SCHEDULE");
+    std::string traceIn;
 
     // Parse our flags out of argv, compacting the survivors in place so
     // the caller's parser never sees what we consumed.
@@ -174,8 +91,11 @@ SimulationSpec::fromCli(int &argc, char **argv, const char *prog)
             argv[out++] = argv[i];
         }
     }
+    // Re-terminate only a compacted argv: slot argv[argc] of an
+    // untouched one may lie past the end of a caller-built array.
+    if (out < argc)
+        argv[out] = nullptr;
     argc = out;
-    argv[argc] = nullptr;
 
     // Validate eagerly: a bad value dies here, before any run starts,
     // with a diagnostic that lists the valid choices.

@@ -20,10 +20,9 @@
  *
  * SimulationSpec::fromCli is the single parse point for the spec-level
  * command line: it consumes the flags it owns from argv (leaving
- * sweep-level flags like --jobs for the caller), applies the deprecated
- * SECPB_BENCH_* environment fallbacks with a one-time note, validates
- * everything eagerly with diagnostics that list the valid values, and
- * is where `--shards N` exists exactly once.
+ * sweep-level flags like --jobs for the caller), validates everything
+ * eagerly with diagnostics that list the valid values, and is where
+ * `--shards N` exists exactly once.
  */
 
 #ifndef SECPB_CORE_SIMULATION_HH
@@ -95,10 +94,8 @@ struct SimulationSpec
      * place, updating @p argc), so the caller's parser only sees what
      * it owns. Flags: --instr, --seed, --workload, --trace-in,
      * --trace-record, --battery-tech, --battery-derate,
-     * --power-schedule, --cores, --shards. Deprecated SECPB_BENCH_*
-     * environment fallbacks still apply (one-time stderr note). All
-     * values are validated eagerly; a bad one dies listing the valid
-     * choices.
+     * --power-schedule, --cores, --shards. All values are validated
+     * eagerly; a bad one dies listing the valid choices.
      */
     static SimulationSpec fromCli(int &argc, char **argv, const char *prog);
 

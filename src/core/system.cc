@@ -151,6 +151,8 @@ SecPbSystem::adoptPersistentState(const PmImage &pm,
 {
     panic_if(_started,
              "adoptPersistentState must precede SecPbSystem::start");
+    panic_if(tree.numLevels() != _tree->numLevels(),
+             "adoptPersistentState: BMT geometry differs from this machine");
     _pm = pm;
     *_tree = tree;
     _oracle = oracle;
@@ -231,7 +233,7 @@ SecPbSystem::crashNow(const CrashOptions &opts)
     CrashReport cr;
     DrainLatencyModel latency(_cfg.crypto, _cfg.pcm);
     CrashDrainBudget budget;
-    if (opts.bounded()) {
+    if (opts.batteryEnergyJ.has_value()) {
         budget.energyJ = *opts.batteryEnergyJ;
         budget.pricing = &_energy;
     } else if (_battery) {

@@ -67,13 +67,6 @@ struct CrashOptions
      * infinity sentinel; see FaultPlan::batteryFraction.)
      */
     std::optional<double> batteryEnergyJ;
-
-    /** Shim kept from the infinity-sentinel era: is a bound set? */
-    bool
-    bounded() const
-    {
-        return batteryEnergyJ.has_value();
-    }
 };
 
 /** The assembled simulated machine. */

@@ -99,15 +99,16 @@ double
 EnergyModel::provisionedEnergy(Scheme scheme, unsigned secpb_entries,
                                unsigned wpq_entries) const
 {
-    if (scheme == Scheme::Sp)
+    const SchemeTraits &row = schemeTraits(scheme);
+    if (row.persist == PersistDomain::Wpq)
         return spAdrEnergy(wpq_entries);
-    if (scheme == Scheme::Eadr) {
+    if (row.persist == PersistDomain::Hierarchy) {
         // eADR: the persist domain is the whole cache hierarchy, every
         // line assumed dirty with a full late tuple owed (the secure
         // eADR row of the Table V comparison).
         return sEadrBatteryEnergy();
     }
-    if (schemeTraits(scheme).secure)
+    if (row.secure)
         return secPbBatteryEnergy(scheme, secpb_entries);
     return bbbBatteryEnergy(secpb_entries);
 }

@@ -80,6 +80,13 @@ struct HierarchyFootprint
     std::uint64_t l1Bytes = 64 * 1024;
     std::uint64_t l2Bytes = 512 * 1024;
     std::uint64_t l3Bytes = 4 * 1024 * 1024;
+
+    /** Cache lines in the whole hierarchy (eADR's crash-time flush). */
+    std::uint64_t
+    lines() const
+    {
+        return (l1Bytes + l2Bytes + l3Bytes) / BlockSize;
+    }
 };
 
 /**

@@ -10,8 +10,8 @@
  * components deferred to late time: e.g. BCM defers Bmt root, Ciphertext,
  * and Mac; COBCM defers everything (Counter, Otp, Bmt, Ciphertext, Mac).
  *
- * The zoo adds four designs from the related work as first-class schemes
- * (see src/schemes/policy.hh for the per-scheme behavior they plug in):
+ * The zoo adds four designs from the related work as first-class schemes,
+ * each defined by its SchemeTable row like the paper's six:
  *
  *  - secpm:  SecPM's counter write-through (Zuo/Hua/Xie) -- the counter
  *    cache writes through to PCM so data+counter persist atomically; the
@@ -32,9 +32,11 @@
 #ifndef SECPB_SECPB_SCHEME_HH
 #define SECPB_SECPB_SCHEME_HH
 
-#include <cctype>
-#include <cstdio>
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "sim/logging.hh"
@@ -73,9 +75,24 @@ struct SchemeParams
     unsigned triadLevels = 2;
 };
 
-/** Which tuple components a scheme produces early. */
+/** What the battery must cover at crash time. */
+enum class PersistDomain
+{
+    Entries,   ///< The SecPB entries (every buffered scheme).
+    Wpq,       ///< The ADR WPQ (SP): stores persist on WPQ arrival, and
+               ///< the crash drain completes pending tuples, not entries.
+    Hierarchy, ///< eADR: the entries plus the whole volatile cache
+               ///< hierarchy, flushed on battery power.
+};
+
+/**
+ * One scheme's row of facts -- the only place they live. The seven
+ * bools are the paper's Table II row; the last four columns are the
+ * axes the related-work zoo varies.
+ */
 struct SchemeTraits
 {
+    const char *name;     ///< Canonical lowercase name (CLI, JSON).
     bool secure;          ///< Any security metadata at all.
     bool earlyCounter;    ///< Counter fetched+incremented at store persist.
     bool earlyOtp;        ///< One-time pad generated at store persist.
@@ -89,132 +106,121 @@ struct SchemeTraits
      * strawman.
      */
     bool coalesceValueIndependent;
+    PersistDomain persist;
+    /**
+     * Counter updates write through to PCM (SecPM's data+counter
+     * atomicity): the counter-cache block stays clean, so crashes never
+     * lose counters, at a per-update PCM write.
+     */
+    bool counterWriteThrough;
+    /**
+     * An early tree update unblocks the store at pipelined walk *issue*;
+     * the coalesced root update retires in the background.
+     */
+    bool streamlinedBmtIssue;
+    /**
+     * Only the lowest SchemeParams::triadLevels BMT levels persist: they
+     * are written through at drain time and walked at crash time, and
+     * recovery rebuilds the volatile levels above them.
+     */
+    bool partialBmtPersistence;
 };
 
-/** Traits lookup for @p s. */
-constexpr SchemeTraits
+/** The scheme table, indexed by Scheme. */
+// clang-format off
+constexpr SchemeTraits SchemeTable[] = {
+    // name     secure ctr    otp    bmt    ct     mac    coalesce
+    //          persist                    ctrWT  stream partialBmt
+    {"bbb",     false, false, false, false, false, false, true,
+                PersistDomain::Entries,    false, false, false},
+    {"sp",      true,  true,  true,  true,  true,  true,  false,
+                PersistDomain::Wpq,        false, false, false},
+    {"sec_wt",  true,  true,  true,  true,  true,  true,  false,
+                PersistDomain::Entries,    false, false, false},
+    {"nogap",   true,  true,  true,  true,  true,  true,  true,
+                PersistDomain::Entries,    false, false, false},
+    {"m",       true,  true,  true,  true,  true,  false, true,
+                PersistDomain::Entries,    false, false, false},
+    {"cm",      true,  true,  true,  true,  false, false, true,
+                PersistDomain::Entries,    false, false, false},
+    {"bcm",     true,  true,  true,  false, false, false, true,
+                PersistDomain::Entries,    false, false, false},
+    {"obcm",    true,  true,  false, false, false, false, true,
+                PersistDomain::Entries,    false, false, false},
+    {"cobcm",   true,  false, false, false, false, false, true,
+                PersistDomain::Entries,    false, false, false},
+    // Everything early except the BMT root: the write-through counter
+    // persists with the data; the tree is the one lazy component.
+    {"secpm",   true,  true,  true,  false, true,  true,  true,
+                PersistDomain::Entries,    true,  false, false},
+    // BCM-like runtime; only the lowest tree levels persist.
+    {"triad",   true,  true,  true,  false, false, false, true,
+                PersistDomain::Entries,    false, false, true},
+    // COBCM-lazy runtime; the battery covers the whole hierarchy.
+    {"eadr",    true,  false, false, false, false, false, true,
+                PersistDomain::Hierarchy,  false, false, false},
+    // NoGap-strict tuple, but the walk only gates at pipe issue.
+    {"stream",  true,  true,  true,  true,  true,  true,  true,
+                PersistDomain::Entries,    false, true,  false},
+};
+// clang-format on
+static_assert(std::size(SchemeTable) ==
+                  static_cast<std::size_t>(Scheme::Stream) + 1,
+              "one SchemeTable row per Scheme, in enum order");
+
+/** The row for @p s. */
+constexpr const SchemeTraits &
 schemeTraits(Scheme s)
 {
-    switch (s) {
-      case Scheme::Bbb:
-        return {false, false, false, false, false, false, true};
-      case Scheme::Sp:
-        return {true, true, true, true, true, true, false};
-      case Scheme::SecWt:
-        return {true, true, true, true, true, true, false};
-      case Scheme::NoGap:
-        return {true, true, true, true, true, true, true};
-      case Scheme::M:
-        return {true, true, true, true, true, false, true};
-      case Scheme::Cm:
-        return {true, true, true, true, false, false, true};
-      case Scheme::Bcm:
-        return {true, true, true, false, false, false, true};
-      case Scheme::Obcm:
-        return {true, true, false, false, false, false, true};
-      case Scheme::Cobcm:
-        return {true, false, false, false, false, false, true};
-      case Scheme::Secpm:
-        // Everything early except the BMT root: the write-through counter
-        // persists with the data; the tree is the one lazy component.
-        return {true, true, true, false, true, true, true};
-      case Scheme::Triad:
-        // BCM-like runtime: counter+OTP early, tree/ciphertext/MAC late.
-        // The triad twist (partial tree persistence) lives in the policy.
-        return {true, true, true, false, false, false, true};
-      case Scheme::Eadr:
-        // COBCM-lazy runtime; the battery covers the whole hierarchy.
-        return {true, false, false, false, false, false, true};
-      case Scheme::Stream:
-        // NoGap-strict tuple, but the walk only gates at pipe issue.
-        return {true, true, true, true, true, true, true};
-    }
-    return {false, false, false, false, false, false, true};
+    return SchemeTable[static_cast<std::size_t>(s)];
 }
 
 /** Canonical (lowercase) scheme name, used in CLI and JSON. */
-inline const char *
+constexpr const char *
 schemeName(Scheme s)
 {
-    switch (s) {
-      case Scheme::Bbb:    return "bbb";
-      case Scheme::Sp:     return "sp";
-      case Scheme::SecWt:  return "sec_wt";
-      case Scheme::NoGap:  return "nogap";
-      case Scheme::M:      return "m";
-      case Scheme::Cm:     return "cm";
-      case Scheme::Bcm:    return "bcm";
-      case Scheme::Obcm:   return "obcm";
-      case Scheme::Cobcm:  return "cobcm";
-      case Scheme::Secpm:  return "secpm";
-      case Scheme::Triad:  return "triad";
-      case Scheme::Eadr:   return "eadr";
-      case Scheme::Stream: return "stream";
-    }
-    return "?";
+    return schemeTraits(s).name;
 }
 
-/** Every scheme, for parsing and "valid names" messages. */
-constexpr Scheme SchemeList[] = {
-    Scheme::Bbb, Scheme::Sp, Scheme::SecWt, Scheme::NoGap, Scheme::M,
-    Scheme::Cm, Scheme::Bcm, Scheme::Obcm, Scheme::Cobcm,
-    Scheme::Secpm, Scheme::Triad, Scheme::Eadr, Scheme::Stream,
-};
+/** Every scheme, in table order (parsing, "valid names" messages). */
+constexpr auto SchemeList = [] {
+    std::array<Scheme, std::size(SchemeTable)> all{};
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = static_cast<Scheme>(i);
+    return all;
+}();
 
 /** Comma-separated list of every canonical scheme name. */
 inline std::string
 allSchemeNames()
 {
     std::string out;
-    for (Scheme s : SchemeList) {
+    for (const SchemeTraits &row : SchemeTable) {
         if (!out.empty())
             out += ", ";
-        out += schemeName(s);
+        out += row.name;
     }
     return out;
 }
 
 /**
- * Parse a scheme spec: a canonical name, a legacy mixed-case spelling
- * (accepted case-insensitively with a one-time deprecation note), or a
- * parameterized form (`triad:levels=N`, stored into @p params when
- * non-null). Fatal -- listing every valid name -- on anything else.
+ * Parse a scheme spec: a canonical name, or a parameterized form
+ * (`triad:levels=N`, stored into @p params when non-null). Fatal --
+ * listing every valid name -- on anything else.
  */
 inline Scheme
 parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
 {
     const std::string::size_type colon = spec.find(':');
     const std::string name = spec.substr(0, colon);
-    std::string lower = name;
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-
-    Scheme parsed = Scheme::Bbb;
-    bool found = false;
-    for (Scheme s : SchemeList) {
-        if (lower == schemeName(s)) {
-            parsed = s;
-            found = true;
-            break;
-        }
-    }
-    fatal_if(!found,
+    const auto it =
+        std::find_if(SchemeList.begin(), SchemeList.end(),
+                     [&](Scheme s) { return name == schemeName(s); });
+    fatal_if(it == SchemeList.end(),
              "unknown scheme name '%s' (valid: %s; triad accepts "
              "'triad:levels=N')",
              spec.c_str(), allSchemeNames().c_str());
-
-    if (name != schemeName(parsed)) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            std::fprintf(stderr,
-                         "secpb: note: scheme spelling '%s' is "
-                         "deprecated; canonical names are lowercase "
-                         "('%s')\n",
-                         name.c_str(), schemeName(parsed));
-        }
-    }
+    const Scheme parsed = *it;
 
     if (colon != std::string::npos) {
         const std::string tail = spec.substr(colon + 1);
@@ -239,7 +245,7 @@ parseSchemeSpec(const std::string &spec, SchemeParams *params = nullptr)
     return parsed;
 }
 
-/** Parse a bare scheme name (case-insensitive; no parameters). */
+/** Parse a bare scheme name (no parameters). */
 inline Scheme
 parseScheme(const std::string &name)
 {

@@ -5,11 +5,52 @@
 
 #include "energy/energy_model.hh"
 #include "obs/trace.hh"
-#include "schemes/policy.hh"
 #include "sim/debug.hh"
 
 namespace secpb
 {
+
+namespace
+{
+
+/**
+ * Worst-case completion of one entry under @p row: every lazy field
+ * missing and the counter block absent on-chip. Ciphertext and MAC are
+ * always included -- they are value-dependent, so even an eager scheme
+ * can hold them invalid while a coalescing store's regeneration is in
+ * flight. SP completes the whole tuple before queueing the write, so its
+ * worst unit is a single WPQ-resident block write.
+ */
+CrashWork
+worstEntryWork(const SchemeTraits &row, unsigned bmt_persist_levels)
+{
+    CrashWork w;
+    if (row.persist == PersistDomain::Wpq) {
+        w.pmBlockWrites = 1;
+        return w;
+    }
+    w.entriesDrained = 1;
+    if (!row.secure) {
+        w.pmBlockWrites = 1;
+        return w;
+    }
+    if (!row.earlyCounter) {
+        w.counterFetches = 1;
+        w.countersIncremented = 1;
+    }
+    if (!row.earlyOtp)
+        w.otpsGenerated = 1;
+    w.ciphertexts = 1;
+    w.macsComputed = 1;
+    if (!row.earlyBmt) {
+        w.bmtRootUpdates = 1;
+        w.bmtLevelsWalked = bmt_persist_levels;
+    }
+    w.pmBlockWrites = 3;
+    return w;
+}
+
+} // namespace
 
 SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              const MetadataLayout &layout, const SecurityKeys &keys,
@@ -17,8 +58,7 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              CryptoEngine &crypto, BmtWalker &walker,
              MetadataCache &ctr_cache, MetadataCache &mac_cache,
              WritePendingQueue &wpq, StatGroup &parent)
-    : _eq(eq), _scheme(scheme), _traits(schemeTraits(scheme)),
-      _policy(makeSchemePolicy(scheme, cfg.params)), _cfg(cfg),
+    : _eq(eq), _row(schemeTraits(scheme)), _cfg(cfg),
       _layout(layout), _keys(keys), _counters(counters), _oracle(oracle),
       _pm(pm), _crypto(crypto), _walker(walker), _ctrCache(ctr_cache),
       _macCache(mac_cache), _wpq(wpq),
@@ -26,6 +66,14 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
       _highWm(std::max<unsigned>(
           1, static_cast<unsigned>(cfg.numEntries * cfg.highWatermark))),
       _lowWm(static_cast<unsigned>(cfg.numEntries * cfg.lowWatermark)),
+      _bmtPersistLevels(
+          _row.partialBmtPersistence
+              ? std::min(cfg.params.triadLevels, walker.tree().numLevels())
+              : walker.tree().numLevels()),
+      _crashFlushLines(_row.persist == PersistDomain::Hierarchy
+                           ? HierarchyFootprint{}.lines()
+                           : 0),
+      _worstEntry(worstEntryWork(_row, _bmtPersistLevels)),
       _stats("secpb", &parent),
       statPersists(_stats, "persists", "stores accepted by the SecPB"),
       statAllocs(_stats, "allocs", "new SecPB entry allocations"),
@@ -48,6 +96,8 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
                         "pressure")
 {
     fatal_if(cfg.numEntries == 0, "SecPB needs at least one entry");
+    fatal_if(_row.partialBmtPersistence && cfg.params.triadLevels < 1,
+             "triad needs at least one persisted BMT level");
     fatal_if(cfg.lowWatermark >= cfg.highWatermark,
              "SecPB low watermark must be below the high watermark");
     fatal_if(cfg.highWatermark <= 0.0 || cfg.highWatermark > 1.0,
@@ -66,19 +116,17 @@ SecPb::SecPb(EventQueue &eq, Scheme scheme, const SecPbConfig &cfg,
              _lowWm, _highWm);
     _index.reserve(cfg.numEntries);
     _freeList.reserve(cfg.numEntries);
-    if (_policy->wpqIsPersistDomain())
+    if (_row.persist == PersistDomain::Wpq)
         _spPending.reserve(64);
     for (unsigned i = 0; i < cfg.numEntries; ++i)
         _freeList.push_back(cfg.numEntries - 1 - i);
     _dbg = debug::enabled("SecPb");
 }
 
-SecPb::~SecPb() = default;
-
 Cycles
 SecPb::counterWriteAccess(Addr addr)
 {
-    if (_policy->counterWriteThrough())
+    if (_row.counterWriteThrough)
         return _ctrCache.writeThroughAccess(_layout.counterAddr(addr));
     return _ctrCache.writeAccess(_layout.counterAddr(addr));
 }
@@ -246,7 +294,7 @@ SecPb::tryAcceptStore(Addr addr, std::uint64_t value,
         return false;
     }
 
-    if (_policy->wpqIsPersistDomain())
+    if (_row.persist == PersistDomain::Wpq)
         return acceptStoreSp(addr, value, std::move(unblocked));
 
     PbEntry *e = find(addr);
@@ -339,7 +387,7 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     opStarted(ep);
     _eq.schedule(base, [this, ep] { opFinished(ep); });
 
-    if (!_traits.secure)
+    if (!_row.secure)
         return;
 
     // Counter: fetch from the counter cache (miss -> PCM) and increment.
@@ -347,8 +395,8 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     // the background: the unblock only waits for a second SecPB access
     // that checks the counter valid bit (paper Section VI-B).
     Tick t_ctr = base;
-    if (_traits.earlyCounter) {
-        const bool gates = _traits.earlyOtp || _traits.earlyBmt;
+    if (_row.earlyCounter) {
+        const bool gates = _row.earlyOtp || _row.earlyBmt;
         const Cycles d_ctr =
             counterWriteAccess(e.addr) +
             _crypto.latencies().counterInc;
@@ -369,18 +417,18 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     }
 
     // OTP (depends on the counter), then ciphertext, then MAC.
-    if (_traits.earlyOtp) {
+    if (_row.earlyOtp) {
         opStarted(ep);
         _eq.schedule(t_ctr, [this, ep] {
             _crypto.generateOtp([this, ep] {
                 ep->otp = generatePad(_keys, ep->addr, ep->counter);
                 ep->vOtp = true;
-                if (_traits.earlyCiphertext) {
+                if (_row.earlyCiphertext) {
                     opStarted(ep);
                     _eq.scheduleIn(_crypto.generateCiphertext(),
                                    [this, ep] {
                         refreshCiphertext(*ep);
-                        if (_traits.earlyMac) {
+                        if (_row.earlyMac) {
                             opStarted(ep);
                             _crypto.generateMac([this, ep] {
                                 refreshMac(*ep);
@@ -398,13 +446,13 @@ SecPb::launchEarlyOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     }
 
     // BMT root update (depends on the counter; parallel with the OTP).
-    if (_traits.earlyBmt) {
+    if (_row.earlyBmt) {
         opStarted(ep);
         _eq.schedule(t_ctr, [this, ep] {
             const std::uint64_t page = _layout.pageIndex(ep->addr);
             const Digest d =
                 _walker.tree().leafDigest(_counters.block(page));
-            if (_policy->streamlinedBmtIssue()) {
+            if (_row.streamlinedBmtIssue) {
                 // Streamlined updates: the store only waits for the
                 // pipelined walker to *accept* the walk; the coalesced
                 // root update retires in the background (the battery
@@ -434,10 +482,10 @@ SecPb::launchHitOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     opStarted(ep);
     _eq.schedule(base, [this, ep] { opFinished(ep); });
 
-    if (!_traits.secure)
+    if (!_row.secure)
         return;
 
-    if (!_traits.coalesceValueIndependent) {
+    if (!_row.coalesceValueIndependent) {
         // sec_wt strawman: every store redoes the whole tuple.
         e.vCtr = e.vOtp = e.vBmt = false;
         e.vCt = e.vMac = false;
@@ -452,11 +500,11 @@ SecPb::launchHitOps(PbEntry &e, Tick base, EventCallback /*unused*/)
     e.vCt = false;
     e.vMac = false;
 
-    if (_traits.earlyCiphertext) {
+    if (_row.earlyCiphertext) {
         opStarted(ep);
         _eq.schedule(base + _crypto.generateCiphertext(), [this, ep] {
             refreshCiphertext(*ep);
-            if (_traits.earlyMac) {
+            if (_row.earlyMac) {
                 opStarted(ep);
                 _crypto.generateMac([this, ep] {
                     refreshMac(*ep);
@@ -680,13 +728,7 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
     _pricing = pricing;
     _adaptive = cfg;
 
-    // Worst-case completion of one entry under this scheme: the policy
-    // knows which lazy fields can be missing, how deep a crash-time BMT
-    // walk goes, and (for SP) that the unit of crash work is a
-    // WPQ-resident block write instead of an entry.
-    const CrashWork w =
-        _policy->worstEntryWork(_walker.tree().numLevels());
-    _worstEntryJ = pricing->actualCrashEnergy(w);
+    _worstEntryJ = pricing->actualCrashEnergy(_worstEntry);
 
     // Gate margin: the marginEntries reserve plus one in-flight
     // ciphertext+MAC regeneration (the store buffer issues one store at
@@ -694,7 +736,7 @@ SecPb::attachBatteryMonitor(const Capacitor *battery,
     // SP has no crash-time regeneration -- its value work happens on
     // mains power before the WPQ ever admits the store.
     CrashWork transient;
-    if (!_policy->wpqIsPersistDomain()) {
+    if (_row.persist != PersistDomain::Wpq) {
         transient.ciphertexts = 1;
         transient.macsComputed = 1;
     }
@@ -729,7 +771,7 @@ SecPb::crashReserveEnergyJ() const
 void
 SecPb::shedMetadataDirt()
 {
-    if (!_adaptive.enabled || !_traits.secure)
+    if (!_adaptive.enabled || !_row.secure)
         return;
     const double safety = std::max(_adaptive.safetyFactor, 1.0);
     const double budget = _battery->deliverableEnergyJ() / safety;
@@ -768,11 +810,11 @@ SecPb::adaptiveOccupancyBoundNow() const
     // rejects, occupancy already exceeds this bound, so the (tightened)
     // high watermark has drains running and space waiters will wake.
     CrashWork floor_work;
-    if (_traits.secure) {
+    if (_row.secure) {
         floor_work.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
                                      _macCache.dirtyBlocks().size();
         floor_work.pmBlockWrites += floor_work.mdcBlockFlushes;
-        floor_work.cacheLinesFlushed = _policy->crashCacheFlushLines();
+        floor_work.cacheLinesFlushed = _crashFlushLines;
     }
     CrashWork transient;
     transient.ciphertexts = 1;
@@ -856,7 +898,7 @@ SecPb::startDrainOf(PbEntry &e)
     const std::uint64_t idx = *idxp;
     e.drainStart = _eq.curTick();
 
-    if (!_traits.secure) {
+    if (!_row.secure) {
         // Insecure BBB baseline: the "tuple" is just the data block, which
         // drains as-is (no encryption).
         e.ciphertext = e.plaintext;
@@ -946,10 +988,8 @@ SecPb::startDrainOf(PbEntry &e)
             // Triad-NVM runtime cost: the persisted frontier (the
             // lowest N path levels) must actually reach PCM at drain
             // time, not just the walker's volatile node cache.
-            const unsigned wt = _policy->drainBmtWriteThroughLevels(
-                _walker.tree().numLevels());
-            if (wt > 0)
-                persistBmtPathPrefix(ep->addr, wt);
+            if (_row.partialBmtPersistence)
+                persistBmtPathPrefix(ep->addr, _bmtPersistLevels);
             _eq.schedule(std::max(t.issue, _eq.curTick()),
                          [branch_done] { branch_done(); });
         } else {
@@ -978,7 +1018,7 @@ SecPb::finalizeDrain(std::uint64_t entry_idx)
         }
         e.pushedData = true;
         _pm.writeData(e.addr, e.ciphertext);
-        if (_traits.secure) {
+        if (_row.secure) {
             counterWriteAccess(e.addr);
             _macCache.writeAccess(_layout.macAddr(e.addr));
             const std::uint64_t page = _layout.pageIndex(e.addr);
@@ -1050,7 +1090,7 @@ SecPb::completeEntryFunctionally(PbEntry &e, CrashWork &work)
 {
     ++work.entriesDrained;
 
-    if (!_traits.secure) {
+    if (!_row.secure) {
         // BBB: the battery just moves the plaintext blocks out.
         _pm.writeData(e.addr, e.plaintext);
         ++work.pmBlockWrites;
@@ -1086,8 +1126,7 @@ SecPb::completeEntryFunctionally(PbEntry &e, CrashWork &work)
         // Triad-NVM persists only the lowest N path levels on battery
         // power; the volatile remainder is rebuilt at recovery (counted
         // separately in bmtNodesRebuilt by crashDrainAll).
-        work.bmtLevelsWalked +=
-            _policy->crashBmtLevels(_walker.tree().numLevels());
+        work.bmtLevelsWalked += _bmtPersistLevels;
     }
 
     const std::uint64_t page = _layout.pageIndex(e.addr);
@@ -1131,7 +1170,7 @@ CrashWork
 SecPb::predictCrashDrainWork() const
 {
     CrashWork w;
-    if (_policy->wpqIsPersistDomain()) {
+    if (_row.persist == PersistDomain::Wpq) {
         // SP's crash-time obligation lives in the WPQ, not the PB: every
         // queued write still owes one PCM block write at power failure.
         // The WPQ sits in the ADR domain, but a battery sized for SP has
@@ -1141,14 +1180,14 @@ SecPb::predictCrashDrainWork() const
         // WPQ traffic is already-persisted data on its way out.
         w.pmBlockWrites += _wpq.pendingAtCrash();
     }
-    if (_traits.secure) {
+    if (_row.secure) {
         w.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
                             _macCache.dirtyBlocks().size();
         w.pmBlockWrites += w.mdcBlockFlushes;
         // eADR: the whole volatile hierarchy is inside the persist
         // domain, so every crash owes the full flush regardless of
         // SecPB occupancy.
-        w.cacheLinesFlushed = _policy->crashCacheFlushLines();
+        w.cacheLinesFlushed = _crashFlushLines;
     }
     _index.forEach([&](const Addr &, const std::uint64_t &idx) {
         const CrashWork d = predictEntryWork(_entries[idx]);
@@ -1170,7 +1209,7 @@ SecPb::predictEntryWork(const PbEntry &e) const
 {
     CrashWork d;
     ++d.entriesDrained;
-    if (!_traits.secure) {
+    if (!_row.secure) {
         ++d.pmBlockWrites;
         return d;
     }
@@ -1187,8 +1226,7 @@ SecPb::predictEntryWork(const PbEntry &e) const
         ++d.macsComputed;
     if (!e.vBmt) {
         ++d.bmtRootUpdates;
-        d.bmtLevelsWalked +=
-            _policy->crashBmtLevels(_walker.tree().numLevels());
+        d.bmtLevelsWalked += _bmtPersistLevels;
     }
     d.pmBlockWrites += 3;
     return d;
@@ -1265,14 +1303,14 @@ SecPb::crashDrainAll(
     // energySpentJ can exceed the budget by at most this fixed floor.
     // The flush itself runs after the entry pass so the cache contents
     // still inform the per-entry predictions.
-    if (_traits.secure) {
+    if (_row.secure) {
         work.mdcBlockFlushes = _ctrCache.dirtyBlocks().size() +
                                _macCache.dirtyBlocks().size();
         work.pmBlockWrites += work.mdcBlockFlushes;
         // eADR: the hierarchy flush is as mandatory as the MDC flush --
         // the battery contract is "everything volatile reaches PM" --
         // and is charged up front on the same terms.
-        work.cacheLinesFlushed = _policy->crashCacheFlushLines();
+        work.cacheLinesFlushed = _crashFlushLines;
     }
 
     // Persist order: complete entries oldest-first. A bounded battery
@@ -1345,7 +1383,7 @@ SecPb::crashDrainAll(
     }
 
     // The MDC flush reserved above (accounting only; see comment there).
-    if (_traits.secure) {
+    if (_row.secure) {
         _ctrCache.flushAll();
         _macCache.flushAll();
     }
@@ -1370,12 +1408,9 @@ SecPb::crashDrainAll(
     // mains power at restart -- it lengthens the recovery window (the
     // drain-latency model prices bmtNodesRebuilt) but costs the battery
     // nothing.
-    const unsigned tree_levels = _walker.tree().numLevels();
-    const unsigned rebuild_from =
-        _policy->recoveryRebuildFromLevel(tree_levels);
-    if (rebuild_from < tree_levels)
+    if (_bmtPersistLevels < _walker.tree().numLevels())
         work.bmtNodesRebuilt =
-            _walker.tree().rebuildFromLevel(rebuild_from);
+            _walker.tree().rebuildFromLevel(_bmtPersistLevels);
 
     work.energySpentJ = price(work);
     return work;

@@ -29,7 +29,6 @@
 #define SECPB_SECPB_SECPB_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -53,7 +52,6 @@ namespace secpb
 
 class Capacitor;
 class EnergyModel;
-class SchemePolicy;
 
 /** SecPB structural configuration (Table I defaults). */
 struct SecPbConfig
@@ -147,12 +145,6 @@ class SecPb
           MetadataCache &ctr_cache, MetadataCache &mac_cache,
           WritePendingQueue &wpq, StatGroup &parent);
 
-    /** Out-of-line: _policy is an incomplete type here. */
-    ~SecPb();
-
-    /** The pluggable per-scheme behavior (src/schemes/policy.hh). */
-    const SchemePolicy &policy() const { return *_policy; }
-
     /**
      * Offer the head store of the store buffer to the SecPB.
      *
@@ -224,7 +216,6 @@ class SecPb
 
     std::size_t occupancy() const { return _index.size(); }
     bool empty() const { return _index.empty(); }
-    Scheme scheme() const { return _scheme; }
     const SecPbConfig &config() const { return _cfg; }
 
     /**
@@ -381,8 +372,8 @@ class SecPb
     BlockCounter incrementCounter(Addr addr);
 
     /**
-     * Counter-cache update dispatched on the policy: lazy write-back for
-     * the paper's schemes, write-through to PCM for SecPM.
+     * Counter-cache update dispatched on the scheme row: lazy write-back
+     * for the paper's schemes, write-through to PCM for SecPM.
      */
     Cycles counterWriteAccess(Addr addr);
 
@@ -421,9 +412,7 @@ class SecPb
     void wakeSpaceWaiters();
 
     EventQueue &_eq;
-    Scheme _scheme;
-    SchemeTraits _traits;
-    std::unique_ptr<SchemePolicy> _policy;
+    SchemeTraits _row;
     SecPbConfig _cfg;
     const MetadataLayout &_layout;
     SecurityKeys _keys;
@@ -443,6 +432,17 @@ class SecPb
 
     unsigned _highWm;
     unsigned _lowWm;
+
+    /** @name Derived once from the scheme row and the tree geometry. */
+    /** @{ */
+    /** BMT levels persisted on battery power: the whole path, or
+     *  Triad-NVM's lowest min(triadLevels, tree levels). */
+    unsigned _bmtPersistLevels;
+    /** Cache lines the battery flushes beyond the entries (eADR). */
+    std::uint64_t _crashFlushLines;
+    /** The worst in-flight entry a crash can land on top of. */
+    CrashWork _worstEntry;
+    /** @} */
 
     /** @name Adaptive drain policy state (inert unless attached). */
     /** @{ */

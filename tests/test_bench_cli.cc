@@ -89,12 +89,10 @@ TEST(BenchCli, SplitCommas)
               (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(BenchCli, ParseFlagsOverrideEnv)
+TEST(BenchCli, ParseFlags)
 {
-    EnvGuard guard("SECPB_BENCH_JOBS");
-    setenv("SECPB_BENCH_JOBS", "3", 1);
     const char *argv[] = {"bench",     "--jobs",   "5",
-                          "--scheme",  "CM,COBCM", "--profile",
+                          "--scheme",  "cm,cobcm", "--profile",
                           "gamess",    "--instr",  "1234",
                           "--seed",    "9",        "--json",
                           "/tmp/x.json"};
@@ -114,15 +112,12 @@ TEST(BenchCli, ParseFlagsOverrideEnv)
     EXPECT_EQ(cli.profilesToRun()[0].name, "gamess");
 }
 
-TEST(BenchCli, EnvFallbacksAndDefaults)
+TEST(BenchCli, Defaults)
 {
-    EnvGuard j("SECPB_BENCH_JOBS"), p("SECPB_BENCH_JSON");
-    setenv("SECPB_BENCH_JOBS", "7", 1);
-    setenv("SECPB_BENCH_JSON", "/tmp/env.json", 1);
     const char *argv[] = {"bench"};
     BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.jobs, 7u);
-    EXPECT_EQ(cli.jsonPath, "/tmp/env.json");
+    EXPECT_EQ(cli.jobs, 1u);
+    EXPECT_TRUE(cli.jsonPath.empty());
     // Empty filters pass everything.
     EXPECT_TRUE(cli.wantScheme(Scheme::Sp));
     EXPECT_TRUE(cli.wantProfile("anything"));
@@ -208,21 +203,6 @@ TEST(BenchCli, BatteryDefaultsIdealFullCapacity)
     EXPECT_EQ(cli.batteryTech, "ideal");
     EXPECT_DOUBLE_EQ(cli.batteryDerate, 1.0);
     EXPECT_TRUE(cli.powerSchedule.empty());
-}
-
-TEST(BenchCli, BatteryEnvFallbacks)
-{
-    EnvGuard t("SECPB_BENCH_BATTERY_TECH");
-    EnvGuard d("SECPB_BENCH_BATTERY_DERATE");
-    EnvGuard s("SECPB_BENCH_POWER_SCHEDULE");
-    setenv("SECPB_BENCH_BATTERY_TECH", "li-thin", 1);
-    setenv("SECPB_BENCH_BATTERY_DERATE", "0.5", 1);
-    setenv("SECPB_BENCH_POWER_SCHEDULE", "cycles=2", 1);
-    const char *argv[] = {"bench"};
-    BenchCli cli = BenchCli::parse(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(cli.batteryTech, "li-thin");
-    EXPECT_DOUBLE_EQ(cli.batteryDerate, 0.5);
-    EXPECT_EQ(cli.powerSchedule, "cycles=2");
 }
 
 TEST(BenchCliDeath, UnknownBatteryTechIsFatal)

@@ -109,15 +109,13 @@ TEST(Scheme, NamesAreCanonicalLowercase)
     }
 }
 
-TEST(Scheme, ParseIsCaseInsensitive)
+TEST(Scheme, ParseRejectsLegacySpellings)
 {
-    // Legacy mixed-case spellings from older CLIs/configs keep parsing.
-    EXPECT_EQ(parseScheme("COBCM"), Scheme::Cobcm);
-    EXPECT_EQ(parseScheme("CM"), Scheme::Cm);
-    EXPECT_EQ(parseScheme("NoGap"), Scheme::NoGap);
-    EXPECT_EQ(parseScheme("Sec_WT"), Scheme::SecWt);
-    EXPECT_EQ(parseScheme("eADR"), Scheme::Eadr);
-    EXPECT_EQ(parseScheme("SecPM"), Scheme::Secpm);
+    // Only canonical lowercase names parse; the diagnostic lists them.
+    EXPECT_DEATH(parseScheme("COBCM"),
+                 "unknown scheme name 'COBCM'.*cobcm");
+    EXPECT_DEATH(parseScheme("NoGap"), "unknown scheme name");
+    EXPECT_DEATH(parseSchemeSpec("Triad:levels=2"), "unknown scheme name");
 }
 
 TEST(Scheme, ParseTriadLevelsSpec)

@@ -250,7 +250,7 @@ TEST_P(SecureSchemes, ReplayedTupleFailsBmtVerification)
 
 // ---------------------------------------------------------------------------
 // Scheme-zoo invariants: the per-design behavior each related-work scheme
-// plugs in through its SchemePolicy.
+// gets from its SchemeTable row.
 // ---------------------------------------------------------------------------
 
 TEST(SchemeZoo, SecpmCounterWriteThroughKeepsCtrCacheClean)

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <initializer_list>
 #include <memory>
 #include <sstream>
@@ -61,18 +60,6 @@ struct Argv
 
     char **data() { return ptrs.data(); }
 };
-
-/** The deprecated env fallbacks must not leak into CLI tests. */
-void
-clearSpecEnv()
-{
-    for (const char *v :
-         {"SECPB_BENCH_INSTR", "SECPB_BENCH_SEED", "SECPB_BENCH_WORKLOAD",
-          "SECPB_BENCH_TRACE_IN", "SECPB_BENCH_TRACE_RECORD",
-          "SECPB_BENCH_BATTERY_TECH", "SECPB_BENCH_BATTERY_DERATE",
-          "SECPB_BENCH_POWER_SCHEDULE"})
-        unsetenv(v);
-}
 
 } // namespace
 
@@ -174,7 +161,6 @@ TEST(SimulationFacade, GeneratorArityMismatchPanics)
 
 TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
 {
-    clearSpecEnv();
     Argv av{"prog",   "--jobs",   "3",      "--instr", "5000",
             "--seed", "9",        "--cores", "2",      "--shards",
             "4",      "--json",   "out.json"};
@@ -199,7 +185,6 @@ TEST(SimulationSpecCli, ConsumesOwnFlagsAndCompactsSurvivors)
 
 TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
 {
-    clearSpecEnv();
     Argv av{"prog"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
@@ -215,7 +200,6 @@ TEST(SimulationSpecCli, DefaultsWhenNothingGiven)
 
 TEST(SimulationSpecCli, TraceInIsReplayWorkloadSugar)
 {
-    clearSpecEnv();
     Argv av{"prog", "--trace-in", "/tmp/ops.trace"};
     const SimulationSpec spec =
         SimulationSpec::fromCli(av.argc, av.data(), "test");
@@ -224,7 +208,6 @@ TEST(SimulationSpecCli, TraceInIsReplayWorkloadSugar)
 
 TEST(SimulationSpecCli, BadValuesDieEagerly)
 {
-    clearSpecEnv();
     auto parse = [](std::initializer_list<const char *> args) {
         Argv av(args);
         SimulationSpec::fromCli(av.argc, av.data(), "test");
